@@ -156,9 +156,10 @@ BENCHMARK(BM_HashRow);
 //
 // Drives a real scan -> filter -> project pipeline over an AO table on
 // MiniHdfs at batch sizes 1/64/256/1024/4096 and reports rows/sec per
-// size plus the 1024-vs-1 speedup. Batch size 1 degenerates to
-// row-at-a-time Volcano (one virtual call and one expression dispatch
-// per row per operator), so the sweep isolates what batching buys.
+// size plus the 1024-vs-1 speedup. Every size drains through NextBatch;
+// size 1 means one-row batches, which pays the per-batch virtual call,
+// expression dispatch and selection-vector bookkeeping once per row, so
+// the sweep isolates what amortizing them over a batch buys.
 
 double RunPipelineOnce(hdfs::MiniHdfs* fs, const plan::PlanNode& root,
                        size_t batch_size, int64_t* rows_out,
@@ -177,30 +178,15 @@ double RunPipelineOnce(hdfs::MiniHdfs* fs, const plan::PlanNode& root,
   auto t0 = std::chrono::steady_clock::now();
   Status st = (*node)->Open();
   int64_t rows = 0;
-  if (batch_size == 1) {
-    // Row-at-a-time Volcano baseline: one virtual Next() per row per
-    // operator, exactly what row-mode consumers of the executor pay.
-    Row row;
-    while (st.ok()) {
-      auto more = (*node)->Next(&row);
-      if (!more.ok()) {
-        st = more.status();
-        break;
-      }
-      if (!*more) break;
-      ++rows;
+  RowBatch batch(batch_size);
+  while (st.ok()) {
+    auto more = (*node)->NextBatch(&batch);
+    if (!more.ok()) {
+      st = more.status();
+      break;
     }
-  } else {
-    RowBatch batch(batch_size);
-    while (st.ok()) {
-      auto more = (*node)->NextBatch(&batch);
-      if (!more.ok()) {
-        st = more.status();
-        break;
-      }
-      if (!*more) break;
-      rows += static_cast<int64_t>(batch.size());
-    }
+    if (!*more) break;
+    rows += static_cast<int64_t>(batch.size());
   }
   if (st.ok()) st = (*node)->Close();
   auto t1 = std::chrono::steady_clock::now();
@@ -323,6 +309,8 @@ void RunVectorizedSweep() {
   }
   std::fprintf(f, "{\n  \"bench\": \"scan_filter_project_batch_sweep\",\n");
   std::fprintf(f, "  \"input_rows\": %lld,\n", static_cast<long long>(nrows));
+  std::fprintf(f, "  \"host_cores\": %u,\n  \"build_type\": \"%s\",\n",
+               std::thread::hardware_concurrency(), HAWQ_BUILD_TYPE);
   std::fprintf(f, "  \"results\": [\n");
   for (int s = 0; s < 5; ++s) {
     std::fprintf(f, "    {\"batch_size\": %zu, \"rows_per_sec\": %.0f}%s\n",

@@ -59,31 +59,31 @@ class ExternalScanExec : public exec::ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    while (true) {
+  Result<bool> NextBatch(RowBatch* batch) override {
+    batch->Clear();
+    while (!batch->full()) {
       // External connectors can stall or stream unboundedly; poll the
       // query's cancel token per row so teardown reaches this scan too.
       HAWQ_RETURN_IF_ERROR(ctx_->CheckCancel());
       if (!reader_) {
-        if (frag_idx_ >= fragments_.size()) return false;
+        if (frag_idx_ >= fragments_.size()) break;
         pxf::Fragment frag;
         frag.source = fragments_[frag_idx_++]->path;
         HAWQ_ASSIGN_OR_RETURN(
             reader_, connector_->Open(frag, node_.table_schema, pushdown_));
       }
-      Row inner;
-      HAWQ_ASSIGN_OR_RETURN(bool more, reader_->Next(&inner));
+      HAWQ_ASSIGN_OR_RETURN(bool more, reader_->Next(&inner_));
       if (!more) {
         reader_.reset();
         continue;
       }
-      Row out(node_.out_arity);
-      for (size_t i = 0; i < inner.size(); ++i) {
-        out[node_.col_start + static_cast<int>(i)] = std::move(inner[i]);
+      Row* out = batch->EmplaceRow();
+      out->assign(node_.out_arity, Datum());
+      for (size_t i = 0; i < inner_.size(); ++i) {
+        (*out)[node_.col_start + static_cast<int>(i)] = std::move(inner_[i]);
       }
-      *row = std::move(out);
-      return true;
     }
+    return batch->size() > 0;
   }
 
  private:
@@ -95,6 +95,7 @@ class ExternalScanExec : public exec::ExecNode {
   std::vector<const plan::ScanFile*> fragments_;
   std::vector<sql::PExpr> pushdown_;
   std::unique_ptr<pxf::RecordReader> reader_;
+  Row inner_;  // connector row, recycled across calls
   size_t frag_idx_ = 0;
 };
 

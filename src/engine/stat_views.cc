@@ -175,7 +175,7 @@ std::vector<Row> ProfileRows(Cluster* c, uint64_t /*self_qid*/) {
 /// state at Open() (one consistent-enough snapshot per scan) and widens
 /// them into the query's flat layout, mirroring ExternalScanExec.
 // hawq-lint: allow(exec-source-cancel): rows are snapshotted at Open()
-// into a bounded in-memory vector (ring sizes cap every view); Next()
+// into a bounded in-memory vector (ring sizes cap every view); NextBatch()
 // does no I/O and cannot stall a cancelled query.
 class VirtualScanExec : public exec::ExecNode {
  public:
@@ -193,15 +193,17 @@ class VirtualScanExec : public exec::ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    if (idx_ >= rows_.size()) return false;
-    Row& inner = rows_[idx_++];
-    Row out(node_.out_arity);
-    for (size_t i = 0; i < inner.size(); ++i) {
-      out[node_.col_start + static_cast<int>(i)] = std::move(inner[i]);
+  Result<bool> NextBatch(RowBatch* batch) override {
+    batch->Clear();
+    while (!batch->full() && idx_ < rows_.size()) {
+      Row& inner = rows_[idx_++];
+      Row* out = batch->EmplaceRow();
+      out->assign(node_.out_arity, Datum());
+      for (size_t i = 0; i < inner.size(); ++i) {
+        (*out)[node_.col_start + static_cast<int>(i)] = std::move(inner[i]);
+      }
     }
-    *row = std::move(out);
-    return true;
+    return batch->size() > 0;
   }
 
  private:

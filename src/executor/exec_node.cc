@@ -14,19 +14,6 @@
 
 namespace hawq::exec {
 
-Result<bool> ExecNode::NextBatch(RowBatch* batch) {
-  // Row-to-batch adapter: any operator that only implements Next() still
-  // participates in a batch pipeline (it just doesn't amortize anything).
-  batch->Clear();
-  Row row;
-  while (!batch->full()) {
-    HAWQ_ASSIGN_OR_RETURN(bool more, Next(&row));
-    if (!more) break;
-    batch->PushRow(std::move(row));
-  }
-  return batch->size() > 0;
-}
-
 namespace {
 
 using plan::NodeKind;
@@ -142,7 +129,9 @@ void AttachMemMirror(resource::MemoryTracker* op_mem, obs::NodeStats* stats) {
 //
 // EXPLAIN ANALYZE decorator: wraps an operator and accumulates rows /
 // batches / inclusive time into the query trace's per-(node, segment)
-// counters. BuildExecNode inserts one per plan node ONLY when tracing is
+// counters. NextBatch is its only data-path method, so the clock reads
+// and profiler stamps are paid once per batch, never once per row.
+// BuildExecNode inserts one per plan node ONLY when tracing is
 // on (ctx->trace != nullptr), so the untraced pipeline carries zero
 // instrumentation cost — not even a branch per batch.
 class InstrumentedExec : public ExecNode {
@@ -162,18 +151,6 @@ class InstrumentedExec : public ExecNode {
     stats_->open_us.fetch_add(UsSince(t0), std::memory_order_relaxed);
     Unstamp(prev);
     return st;
-  }
-
-  Result<bool> Next(Row* row) override {
-    uint64_t prev = Stamp(obs::kProfNext);
-    auto t0 = obs::TraceClock::now();
-    auto r = inner_->Next(row);
-    stats_->next_us.fetch_add(UsSince(t0), std::memory_order_relaxed);
-    if (r.ok() && r.value()) {
-      stats_->rows.fetch_add(1, std::memory_order_relaxed);
-    }
-    Unstamp(prev);
-    return r;
   }
 
   Result<bool> NextBatch(RowBatch* batch) override {
@@ -507,7 +484,8 @@ class HashJoinExec : public ExecNode {
                std::unique_ptr<ExecNode> build, ExecContext* ctx)
       : node_(node), probe_(std::move(probe)), build_(std::move(build)),
         ctx_(ctx), op_mem_(MakeOpTracker("HashJoin", node, ctx)),
-        mem_(op_mem_ != nullptr ? op_mem_.get() : ctx->mem) {}
+        mem_(op_mem_ != nullptr ? op_mem_.get() : ctx->mem),
+        in_(ctx->batch_size) {}
 
   Status Open() override {
     if (ctx_->trace != nullptr) {
@@ -518,24 +496,27 @@ class HashJoinExec : public ExecNode {
     const bool build_filter = node_.rf_id >= 0 && ctx_->rf_hub != nullptr;
     BloomFilter bloom;
     auto t0 = obs::TraceClock::now();
-    Row row;
     while (true) {
-      HAWQ_ASSIGN_OR_RETURN(bool more, build_->Next(&row));
+      HAWQ_ASSIGN_OR_RETURN(bool more, build_->NextBatch(&in_));
       if (!more) break;
-      Row key = EvalAll(node_.build_keys, row);
-      bool has_null = false;
-      for (const Datum& d : key) has_null |= d.is_null();
-      if (has_null) continue;  // NULL keys never match
-      // The join matches on serialized key bytes, so equal keys hash
-      // equal: the bloom can never produce a false negative at the scan.
-      if (build_filter) {
-        bloom.Insert(HashRow(key));
-        if (key.size() == 1 && key[0].kind == Datum::Kind::kInt) {
-          bloom.ObserveKey(key[0].i64);
+      for (size_t i = 0; i < in_.size(); ++i) {
+        Row& row = in_.selected(i);
+        Row key = EvalAll(node_.build_keys, row);
+        bool has_null = false;
+        for (const Datum& d : key) has_null |= d.is_null();
+        if (has_null) continue;  // NULL keys never match
+        // The join matches on serialized key bytes, so equal keys hash
+        // equal: the bloom can never produce a false negative at the scan.
+        if (build_filter) {
+          bloom.Insert(HashRow(key));
+          if (key.size() == 1 && key[0].kind == Datum::Kind::kInt) {
+            bloom.ObserveKey(key[0].i64);
+          }
         }
+        HAWQ_RETURN_IF_ERROR(PlaceBuildRow(std::move(key), std::move(row)));
       }
-      HAWQ_RETURN_IF_ERROR(PlaceBuildRow(std::move(key), std::move(row)));
     }
+    in_.Clear();  // the probe loop starts from an empty input batch
     HAWQ_RETURN_IF_ERROR(build_->Close());
     if (spilling_) HAWQ_RETURN_IF_ERROR(FlushBuildPartitions());
     // The bloom covers every build key, resident or spilled, so the
@@ -554,21 +535,33 @@ class HashJoinExec : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    // Emit remaining matches of the current probe row (inner/left).
-    while (true) {
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Clear();
+    while (!out->full()) {
+      // Emit remaining matches of the current probe row (inner/left);
+      // they may straddle output batches.
       if (match_iter_ < matches_.size()) {
-        *row = Merge(probe_row_, *matches_[match_iter_++]);
-        return true;
+        MergeInto(in_.selected(probe_pos_ - 1), *matches_[match_iter_++],
+                  out->EmplaceRow());
+        continue;
       }
-      bool more = false;
-      if (!spilling_) {
-        HAWQ_ASSIGN_OR_RETURN(more, probe_->Next(&probe_row_));
-      } else {
-        HAWQ_ASSIGN_OR_RETURN(more, NextSpilledProbe(&probe_row_));
+      if (probe_pos_ >= in_.size()) {
+        if (probe_done_) break;
+        bool more = false;
+        if (!spilling_) {
+          HAWQ_ASSIGN_OR_RETURN(more, probe_->NextBatch(&in_));
+        } else {
+          HAWQ_ASSIGN_OR_RETURN(more, NextSpilledProbe());
+        }
+        probe_pos_ = 0;
+        if (!more) {
+          probe_done_ = true;
+          in_.Clear();
+          break;
+        }
       }
-      if (!more) return false;
-      Row key = EvalAll(node_.probe_keys, probe_row_);
+      const Row& probe = in_.selected(probe_pos_++);
+      Row key = EvalAll(node_.probe_keys, probe);
       bool has_null = false;
       for (const Datum& d : key) has_null |= d.is_null();
       matches_.clear();
@@ -578,7 +571,7 @@ class HashJoinExec : public ExecNode {
         if (it != table_.end()) {
           for (const Row& cand : it->second) {
             if (node_.quals.empty() ||
-                PassesAll(node_.quals, Merge(probe_row_, cand))) {
+                PassesAll(node_.quals, Merge(probe, cand))) {
               matches_.push_back(&cand);
             }
           }
@@ -589,26 +582,22 @@ class HashJoinExec : public ExecNode {
           break;  // loop emits matches (or none)
         case plan::JoinType::kLeft:
           if (matches_.empty()) {
-            *row = probe_row_;  // null-extended build side
-            return true;
+            *out->EmplaceRow() = probe;  // null-extended build side
           }
           break;
         case plan::JoinType::kSemi:
           if (!matches_.empty()) {
             matches_.clear();
-            *row = probe_row_;
-            return true;
+            *out->EmplaceRow() = probe;
           }
           break;
         case plan::JoinType::kAnti:
-          if (matches_.empty()) {
-            *row = probe_row_;
-            return true;
-          }
+          if (matches_.empty()) *out->EmplaceRow() = probe;
           matches_.clear();
           break;
       }
     }
+    return out->size() > 0;
   }
 
   Status Close() override {
@@ -633,9 +622,15 @@ class HashJoinExec : public ExecNode {
   };
 
   Row Merge(const Row& probe, const Row& build) const {
-    Row out = probe;
-    for (int c : node_.build_cols) out[c] = build[c];
+    Row out;
+    MergeInto(probe, build, &out);
     return out;
+  }
+
+  /// Merge into a recycled output slot (keeps the slot's capacity).
+  void MergeInto(const Row& probe, const Row& build, Row* out) const {
+    *out = probe;
+    for (int c : node_.build_cols) (*out)[c] = build[c];
   }
 
   std::string SpillName(const char* side) {
@@ -700,18 +695,20 @@ class HashJoinExec : public ExecNode {
   Status PartitionProbeSide() {
     std::vector<BufferWriter> out(kSpillFanout);
     std::vector<size_t> nrows(kSpillFanout, 0);
-    Row row;
     while (true) {
-      HAWQ_ASSIGN_OR_RETURN(bool more, probe_->Next(&row));
+      HAWQ_ASSIGN_OR_RETURN(bool more, probe_->NextBatch(&in_));
       if (!more) break;
-      // NULL probe keys hash somewhere deterministic; their partition has
-      // no matching build rows (build NULLs were dropped), so left/anti
-      // semantics fall out of the normal per-partition probe.
-      Row key = EvalAll(node_.probe_keys, row);
-      const size_t p = SpillPartition(HashRow(key), /*depth=*/0,
-                                      kSpillFanout);
-      SerializeRow(row, &out[p]);
-      nrows[p]++;
+      for (size_t i = 0; i < in_.size(); ++i) {
+        const Row& row = in_.selected(i);
+        // NULL probe keys hash somewhere deterministic; their partition
+        // has no matching build rows (build NULLs were dropped), so
+        // left/anti semantics fall out of the normal per-partition probe.
+        Row key = EvalAll(node_.probe_keys, row);
+        const size_t p = SpillPartition(HashRow(key), /*depth=*/0,
+                                        kSpillFanout);
+        SerializeRow(row, &out[p]);
+        nrows[p]++;
+      }
     }
     for (size_t p = 0; p < kSpillFanout; ++p) {
       if (nrows[p] == 0) continue;
@@ -744,12 +741,17 @@ class HashJoinExec : public ExecNode {
     *parts = std::move(keep);
   }
 
-  Result<bool> NextSpilledProbe(Row* row) {
+  /// Refill in_ with probe rows of the current spilled partition. A
+  /// batch never spans two partitions: each is probed against its own
+  /// resident build half, loaded only once the previous one is drained.
+  Result<bool> NextSpilledProbe() {
+    in_.Clear();
     while (true) {
-      if (probe_reader_.remaining() > 0) {
-        HAWQ_ASSIGN_OR_RETURN(*row, DeserializeRow(&probe_reader_));
-        return true;
+      while (!in_.full() && probe_reader_.remaining() > 0) {
+        HAWQ_RETURN_IF_ERROR(
+            DeserializeRowInto(&probe_reader_, in_.EmplaceRow()));
       }
+      if (!in_.empty()) return true;
       HAWQ_ASSIGN_OR_RETURN(bool loaded, LoadNextPartition());
       if (!loaded) return false;
     }
@@ -894,7 +896,12 @@ class HashJoinExec : public ExecNode {
   std::unique_ptr<resource::MemoryTracker> op_mem_;
   resource::ScopedReservation mem_;
   std::unordered_map<std::string, std::vector<Row>> table_;
-  Row probe_row_;
+  // Input batch: build rows while the build side drains, then probe rows.
+  // The probe row at probe_pos_ - 1 stays put while its matches_ are
+  // still being emitted, across as many output batches as they fill.
+  RowBatch in_;
+  size_t probe_pos_ = 0;
+  bool probe_done_ = false;
   std::vector<const Row*> matches_;
   size_t match_iter_ = 0;
   // Spill state (grace hash join). Once spilling_ flips it stays set;
@@ -1079,25 +1086,27 @@ class HashAggExec : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      if (iter_ != groups_.end()) {
-        const Entry& e = iter_->second;
-        Row out = e.key;
-        for (size_t i = 0; i < node_.aggs.size(); ++i) {
-          if (node_.phase == plan::AggPhase::kPartial) {
-            e.states[i].EmitPartial(node_.aggs[i], &out);
-          } else {
-            e.states[i].EmitFinal(node_.aggs[i], &out);
-          }
-        }
-        ++iter_;
-        *row = std::move(out);
-        return true;
+  Result<bool> NextBatch(RowBatch* batch) override {
+    batch->Clear();
+    while (!batch->full()) {
+      if (iter_ == groups_.end()) {
+        if (parts_.empty()) break;
+        HAWQ_RETURN_IF_ERROR(ReplayNextPartition());
+        continue;
       }
-      if (parts_.empty()) return false;
-      HAWQ_RETURN_IF_ERROR(ReplayNextPartition());
+      const Entry& e = iter_->second;
+      Row* out = batch->EmplaceRow();
+      *out = e.key;
+      for (size_t i = 0; i < node_.aggs.size(); ++i) {
+        if (node_.phase == plan::AggPhase::kPartial) {
+          e.states[i].EmitPartial(node_.aggs[i], out);
+        } else {
+          e.states[i].EmitFinal(node_.aggs[i], out);
+        }
+      }
+      ++iter_;
     }
+    return batch->size() > 0;
   }
 
  private:
@@ -1116,7 +1125,10 @@ class HashAggExec : public ExecNode {
   /// folding in place, rows for new keys spill raw (serialized input
   /// rows, partitioned by key hash) and are replayed per partition after
   /// the input drains. Each key folds in exactly one table instance, so
-  /// DISTINCT and final-phase merges stay exact.
+  /// DISTINCT and final-phase merges stay exact. Past kMaxSpillDepth the
+  /// replay charges every new key unchecked and never spills: a
+  /// pathological key stream can defeat the partition hash only so many
+  /// times before completion wins over the budget.
   Status FoldBatch(RowBatch& batch) {
     const size_t n = batch.size();
     for (size_t g = 0; g < node_.group_exprs.size(); ++g) {
@@ -1145,7 +1157,9 @@ class HashAggExec : public ExecNode {
         const int64_t bytes =
             2 * ApproxRowBytes(key) +
             static_cast<int64_t>(node_.aggs.size() * sizeof(AggState)) + 64;
-        if (!mem_.Charge(bytes)) {
+        if (out_depth_ > kMaxSpillDepth) {
+          mem_.ChargeUnchecked(bytes);
+        } else if (!mem_.Charge(bytes)) {
           if (ctx_->kill_on_exceed) {
             return BudgetExceeded(ctx_, "hash aggregate");
           }
@@ -1230,62 +1244,10 @@ class HashAggExec : public ExecNode {
         HAWQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(&r));
         batch.PushRow(std::move(row));
       }
-      HAWQ_RETURN_IF_ERROR(out_depth_ > kMaxSpillDepth
-                               ? FoldBatchUnchecked(batch)
-                               : FoldBatch(batch));
+      HAWQ_RETURN_IF_ERROR(FoldBatch(batch));
     }
     if (spilling_) HAWQ_RETURN_IF_ERROR(FlushSpill());
     iter_ = groups_.begin();
-    return Status::OK();
-  }
-
-  /// Terminal-depth replay: every key becomes resident, charged past the
-  /// budget (a pathological duplicate-free key stream can defeat the
-  /// partition hash only so many times before we prefer completion).
-  Status FoldBatchUnchecked(RowBatch& batch) {
-    const size_t n = batch.size();
-    for (size_t g = 0; g < node_.group_exprs.size(); ++g) {
-      node_.group_exprs[g].EvalBatch(batch, &key_cols_[g]);
-    }
-    if (node_.phase != plan::AggPhase::kFinal) {
-      for (size_t a = 0; a < node_.aggs.size(); ++a) {
-        if (!node_.aggs[a].count_star) {
-          node_.aggs[a].arg.EvalBatch(batch, &arg_cols_[a]);
-        }
-      }
-    }
-    const Datum no_arg;
-    for (size_t i = 0; i < n; ++i) {
-      Row key(node_.group_exprs.size());
-      for (size_t g = 0; g < key.size(); ++g) {
-        key[g] = std::move(key_cols_[g][i]);
-      }
-      std::string kb = KeyOf(key);
-      auto it = groups_.find(kb);
-      if (it == groups_.end()) {
-        mem_.ChargeUnchecked(
-            2 * ApproxRowBytes(key) +
-            static_cast<int64_t>(node_.aggs.size() * sizeof(AggState)) + 64);
-        it = groups_.emplace(std::move(kb), Entry{}).first;
-        it->second.key = std::move(key);
-        it->second.states.resize(node_.aggs.size());
-      }
-      Entry& entry = it->second;
-      if (node_.phase == plan::AggPhase::kFinal) {
-        const Row& in = batch.selected(i);
-        int col = static_cast<int>(node_.group_exprs.size());
-        for (size_t a = 0; a < node_.aggs.size(); ++a) {
-          entry.states[a].MergePartial(node_.aggs[a], in, col);
-          col += AggState::StateWidth(node_.aggs[a]);
-        }
-      } else {
-        for (size_t a = 0; a < node_.aggs.size(); ++a) {
-          entry.states[a].Update(
-              node_.aggs[a],
-              node_.aggs[a].count_star ? no_arg : arg_cols_[a][i]);
-        }
-      }
-    }
     return Status::OK();
   }
 
@@ -1362,10 +1324,12 @@ class SortExec : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = std::move(rows_[pos_++]);
-    return true;
+  Result<bool> NextBatch(RowBatch* batch) override {
+    batch->Clear();
+    while (!batch->full() && pos_ < rows_.size()) {
+      *batch->EmplaceRow() = std::move(rows_[pos_++]);
+    }
+    return batch->size() > 0;
   }
 
  private:
@@ -1454,11 +1418,17 @@ class LimitExec : public ExecNode {
   LimitExec(const PlanNode& node, std::unique_ptr<ExecNode> child)
       : node_(node), child_(std::move(child)) {}
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    if (emitted_ >= node_.limit) return false;
-    HAWQ_ASSIGN_OR_RETURN(bool more, child_->Next(row));
+  Result<bool> NextBatch(RowBatch* batch) override {
+    if (emitted_ >= node_.limit) {
+      batch->Clear();
+      return false;
+    }
+    HAWQ_ASSIGN_OR_RETURN(bool more, child_->NextBatch(batch));
     if (!more) return false;
-    ++emitted_;
+    // Cut the selection at the limit; rows past it stay unselected.
+    const auto left = static_cast<size_t>(node_.limit - emitted_);
+    if (batch->size() > left) batch->mutable_sel()->resize(left);
+    emitted_ += static_cast<int64_t>(batch->size());
     return true;
   }
   Status Close() override { return child_->Close(); }
@@ -1475,10 +1445,12 @@ class ResultExec : public ExecNode {
  public:
   explicit ResultExec(const PlanNode& node) : node_(node) {}
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Row* row) override {
-    if (pos_ >= node_.rows.size()) return false;
-    *row = node_.rows[pos_++];
-    return true;
+  Result<bool> NextBatch(RowBatch* batch) override {
+    batch->Clear();
+    while (!batch->full() && pos_ < node_.rows.size()) {
+      *batch->EmplaceRow() = node_.rows[pos_++];
+    }
+    return batch->size() > 0;
   }
 
  private:
@@ -1567,7 +1539,8 @@ class InsertExec : public ExecNode {
 
   Status Open() override { return child_->Open(); }
 
-  Result<bool> Next(Row* row) override {
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Clear();
     if (done_) return false;
     done_ = true;
     // One (lazily opened) writer per partition this segment receives
@@ -1625,7 +1598,7 @@ class InsertExec : public ExecNode {
            writers[i]->logical_eof(), counts[i],
            writers[i]->uncompressed_bytes()});
     }
-    *row = {Datum::Int(total)};
+    *out->EmplaceRow() = {Datum::Int(total)};
     return true;
   }
 

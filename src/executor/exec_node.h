@@ -14,18 +14,18 @@
 
 namespace hawq::exec {
 
+/// \brief One pull interface for every operator: NextBatch.
+///
+/// NextBatch clears `batch`, fills it with up to batch->capacity() rows
+/// and returns true iff at least one row is *selected*; false means end
+/// of stream. Operators that produce rows one at a time (a join's pending
+/// matches, an aggregate's group iterator, a sort's output cursor) keep
+/// that cross-batch position in their own members, never in the batch.
 class ExecNode {
  public:
   virtual ~ExecNode() = default;
   virtual Status Open() = 0;
-  /// Produce the next row; false at end of stream.
-  virtual Result<bool> Next(Row* row) = 0;
-  /// Fill `batch` (cleared first) with up to batch->capacity() rows.
-  /// Returns true iff the batch holds at least one *selected* row; false
-  /// means end of stream. The default adapter loops Next(), so row-only
-  /// operators keep working in a batch pipeline; batch-native operators
-  /// override this and derive from BatchExecNode for the reverse adapter.
-  virtual Result<bool> NextBatch(RowBatch* batch);
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
   virtual Status Close() { return Status::OK(); }
 };
 
@@ -34,26 +34,17 @@ class ExecNode {
 /// fixed-size, so they inform the peak rather than trigger spills).
 constexpr int64_t kRowSlotBytes = 64;
 
-/// \brief Base for batch-native operators: provides Next(Row*) by
-/// draining an internal batch, so a batch-native operator still serves
-/// row-at-a-time consumers (the adapter in the other direction lives in
-/// ExecNode::NextBatch).
+/// \brief Base for streaming operators that recycle their output row
+/// slots (SeqScan, Filter, Project, MotionRecv): charges that fixed slot
+/// pool to the query's memory accounting.
 class BatchExecNode : public ExecNode {
  public:
-  explicit BatchExecNode(size_t batch_rows) : buffered_(batch_rows) {}
-  /// Batch-native operators pass the query tracker so their recycled
-  /// slot pool shows up in per-query memory accounting.
-  BatchExecNode(size_t batch_rows, resource::MemoryTracker* mem)
-      : buffered_(batch_rows), pool_(mem) {
-    pool_.ChargeUnchecked(static_cast<int64_t>(batch_rows) * kRowSlotBytes);
-  }
-  /// Plan-aware variant: the slot pool gets its own child tracker
-  /// ("SlotPool#<node_id>") under the query tracker, mirrored into the
-  /// node's trace stats, so per-operator memory attribution separates
-  /// fixed slot pools from data-proportional build memory.
+  /// The slot pool gets its own child tracker ("SlotPool#<node_id>")
+  /// under the query tracker, mirrored into the node's trace stats, so
+  /// per-operator memory attribution separates fixed slot pools from
+  /// data-proportional build memory.
   BatchExecNode(const plan::PlanNode& node, ExecContext* ctx)
-      : buffered_(ctx->batch_size),
-        slot_mem_(ctx->mem != nullptr && node.node_id >= 0
+      : slot_mem_(ctx->mem != nullptr && node.node_id >= 0
                       ? std::make_unique<resource::MemoryTracker>(
                             "SlotPool#" + std::to_string(node.node_id),
                             resource::MemoryTracker::kUnlimited, ctx->mem)
@@ -67,20 +58,7 @@ class BatchExecNode : public ExecNode {
                           kRowSlotBytes);
   }
 
-  Result<bool> Next(Row* row) override {
-    while (buf_pos_ >= buffered_.size()) {
-      HAWQ_ASSIGN_OR_RETURN(bool more, NextBatch(&buffered_));
-      if (!more) return false;
-      buf_pos_ = 0;
-    }
-    // Moving out is safe: the batch is refilled before the row is reused.
-    *row = std::move(buffered_.selected(buf_pos_++));
-    return true;
-  }
-
  private:
-  RowBatch buffered_;
-  size_t buf_pos_ = 0;
   // Declared before pool_: the reservation drains back through the slot
   // tracker before the tracker is destroyed.
   std::unique_ptr<resource::MemoryTracker> slot_mem_;

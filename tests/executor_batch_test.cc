@@ -1,10 +1,13 @@
-// Vectorized-executor tests: batch/row adapter equivalence for each
-// converted operator, selection-vector filtering under SQL 3VL (NULLs),
-// EvalBatch vs. per-row Eval, and batch boundaries at 0 / 1 / capacity /
-// capacity+1 rows.
+// Vectorized-executor tests: batch-size invariance of every operator
+// (the same plan drained at capacities 1, 3 and 1024 yields the same
+// rows), selection-vector filtering under SQL 3VL (NULLs), EvalBatch vs.
+// per-row Eval, and batch boundaries at 0 / 1 / capacity / capacity+1
+// rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <thread>
 
@@ -40,21 +43,6 @@ ExecContext MakeCtx(LocalDisk* disk, size_t batch_size = kDefaultBatchRows) {
   return ctx;
 }
 
-/// Drain through the row interface.
-std::vector<Row> DrainRows(ExecNode* node) {
-  std::vector<Row> out;
-  EXPECT_TRUE(node->Open().ok());
-  Row row;
-  while (true) {
-    auto more = node->Next(&row);
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ok() || !*more) break;
-    out.push_back(row);
-  }
-  EXPECT_TRUE(node->Close().ok());
-  return out;
-}
-
 /// Drain through the batch interface.
 std::vector<Row> DrainBatches(ExecNode* node, size_t batch_size) {
   std::vector<Row> out;
@@ -86,23 +74,44 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
-/// Build one node twice and assert row-mode and batch-mode drains agree.
+/// Build a fresh copy of the plan per batch capacity and drain it; every
+/// capacity must yield exactly the same rows in the same order, so no
+/// operator's output depends on where batch boundaries fall. With
+/// `mem_limit` > 0 each drain runs under a query budget of that many
+/// bytes, and `*spilled` gets the fewest spill bytes any drain wrote;
+/// spill scratch must be drained afterwards either way.
 template <typename MakeFn>
-void ExpectAdapterEquivalence(MakeFn make, size_t batch_size) {
-  LocalDisk d1, d2;
-  ExecContext c1 = MakeCtx(&d1, batch_size);
-  ExecContext c2 = MakeCtx(&d2, batch_size);
-  auto n1 = make();
-  auto n2 = make();
-  auto e1 = BuildExecNode(*n1, &c1);
-  auto e2 = BuildExecNode(*n2, &c2);
-  ASSERT_TRUE(e1.ok());
-  ASSERT_TRUE(e2.ok());
-  auto rows = DrainRows(e1->get());
-  auto batched = DrainBatches(e2->get(), batch_size);
-  EXPECT_TRUE(SameRows(rows, batched))
-      << "row drain: " << rows.size() << " rows, batch drain: "
-      << batched.size() << " rows";
+std::vector<Row> ExpectBatchSizeInvariant(MakeFn make, int64_t mem_limit = 0,
+                                          uint64_t* spilled = nullptr) {
+  std::vector<Row> first;
+  if (spilled != nullptr) *spilled = UINT64_MAX;
+  for (size_t cap : {size_t{1}, size_t{3}, size_t{1024}}) {
+    LocalDisk disk;
+    ExecContext ctx = MakeCtx(&disk, cap);
+    std::unique_ptr<resource::MemoryTracker> budget;
+    if (mem_limit > 0) {
+      budget = std::make_unique<resource::MemoryTracker>("test", mem_limit);
+      ctx.mem = budget.get();
+    }
+    auto plan = make();
+    auto e = BuildExecNode(*plan, &ctx);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    if (!e.ok()) return {};
+    std::vector<Row> rows = DrainBatches(e->get(), cap);
+    e->reset();
+    EXPECT_EQ(disk.file_count(), 0u) << "spill files leaked at cap " << cap;
+    if (spilled != nullptr) {
+      *spilled = std::min(*spilled, disk.bytes_written());
+    }
+    if (cap == 1) {
+      first = std::move(rows);
+    } else {
+      EXPECT_TRUE(SameRows(first, rows))
+          << "cap 1: " << first.size() << " rows, cap " << cap << ": "
+          << rows.size() << " rows";
+    }
+  }
+  return first;
 }
 
 std::vector<Row> MixedInput(int n) {
@@ -120,76 +129,179 @@ PExpr GtConst(int col, int64_t c) {
                        TypeId::kBool);
 }
 
-// ---------------------------------------------------- adapter equivalence
+// ---------------------------------------------------- batch-size invariance
 
-TEST(BatchAdapterTest, FilterBatchVsRow) {
-  for (size_t bs : {1u, 4u, 64u, 1024u}) {
-    ExpectAdapterEquivalence(
-        [] {
-          auto n = std::make_unique<PlanNode>();
-          n->kind = NodeKind::kFilter;
-          n->out_arity = 3;
-          n->quals.push_back(GtConst(1, 30));
-          n->children.push_back(RowsNode(MixedInput(100), 3));
-          return n;
-        },
-        bs);
+TEST(BatchSizeInvarianceTest, Filter) {
+  auto rows = ExpectBatchSizeInvariant([] {
+    auto n = std::make_unique<PlanNode>();
+    n->kind = NodeKind::kFilter;
+    n->out_arity = 3;
+    n->quals.push_back(GtConst(1, 30));
+    n->children.push_back(RowsNode(MixedInput(100), 3));
+    return n;
+  });
+  EXPECT_EQ(rows.size(), 59u);  // 31..99 minus the NULLs at i % 7 == 3
+}
+
+TEST(BatchSizeInvarianceTest, Project) {
+  auto rows = ExpectBatchSizeInvariant([] {
+    auto n = std::make_unique<PlanNode>();
+    n->kind = NodeKind::kProject;
+    n->out_arity = 2;
+    n->exprs.push_back(PExpr::Binary(
+        PExpr::Op::kMul, PExpr::Col(1, TypeId::kInt64),
+        PExpr::Const(Datum::Int(3), TypeId::kInt64), TypeId::kInt64));
+    n->exprs.push_back(PExpr::Col(2, TypeId::kDouble));
+    n->children.push_back(RowsNode(MixedInput(100), 3));
+    return n;
+  });
+  ASSERT_EQ(rows.size(), 100u);
+  EXPECT_EQ(rows[11][0].as_int(), 33);
+  EXPECT_TRUE(rows[3][0].is_null());
+}
+
+TEST(BatchSizeInvarianceTest, HashAgg) {
+  auto rows = ExpectBatchSizeInvariant([] {
+    auto n = std::make_unique<PlanNode>();
+    n->kind = NodeKind::kHashAgg;
+    n->phase = AggPhase::kSingle;
+    n->group_exprs = {PExpr::Col(0, TypeId::kInt64)};
+    AggSpec sum;
+    sum.kind = AggSpec::Kind::kSum;
+    sum.arg = PExpr::Col(1, TypeId::kInt64);
+    AggSpec cnt;
+    cnt.kind = AggSpec::Kind::kCount;
+    cnt.count_star = true;
+    n->aggs = {sum, cnt};
+    n->out_arity = 3;
+    n->children.push_back(RowsNode(MixedInput(100), 3));
+    return n;
+  });
+  ASSERT_EQ(rows.size(), 5u);
+  for (const Row& r : rows) EXPECT_EQ(r[2].as_int(), 20);
+}
+
+TEST(BatchSizeInvarianceTest, SortAndLimit) {
+  auto rows = ExpectBatchSizeInvariant([] {
+    auto limit = std::make_unique<PlanNode>();
+    limit->kind = NodeKind::kLimit;
+    limit->limit = 17;
+    limit->out_arity = 3;
+    auto sort = std::make_unique<PlanNode>();
+    sort->kind = NodeKind::kSort;
+    sort->sort_keys = {{1, true}};
+    sort->out_arity = 3;
+    sort->children.push_back(RowsNode(MixedInput(60), 3));
+    limit->children.push_back(std::move(sort));
+    return limit;
+  });
+  ASSERT_EQ(rows.size(), 17u);
+}
+
+/// Limit over a filter: the cut lands inside a batch whose selection
+/// vector is already sparse, so only the selection may be trimmed.
+std::unique_ptr<PlanNode> LimitOverFilter(int64_t limit) {
+  auto filter = std::make_unique<PlanNode>();
+  filter->kind = NodeKind::kFilter;
+  filter->out_arity = 3;
+  filter->quals.push_back(GtConst(1, 30));
+  filter->children.push_back(RowsNode(MixedInput(100), 3));
+  auto n = std::make_unique<PlanNode>();
+  n->kind = NodeKind::kLimit;
+  n->limit = limit;
+  n->out_arity = 3;
+  n->children.push_back(std::move(filter));
+  return n;
+}
+
+TEST(BatchSizeInvarianceTest, LimitCutsInsideABatch) {
+  auto rows = ExpectBatchSizeInvariant([] { return LimitOverFilter(5); });
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[0][1].as_int(), 32);  // 31 is a NULL (31 % 7 == 3)
+  EXPECT_EQ(rows[4][1].as_int(), 36);
+}
+
+TEST(BatchSizeInvarianceTest, LimitZero) {
+  auto rows = ExpectBatchSizeInvariant([] { return LimitOverFilter(0); });
+  EXPECT_TRUE(rows.empty());
+}
+
+// Wide join layout: [probe_key, probe_val, build_key, build_val]. Key 7
+// has kHotBuildRows build rows, more than the largest capacity, so its
+// matches straddle output batches. NULL keys appear on both sides.
+constexpr int kHotBuildRows = 1500;
+
+std::unique_ptr<PlanNode> JoinPlan(plan::JoinType type) {
+  std::vector<Row> probe, build;
+  for (int i = 0; i < 40; ++i) {
+    Datum k = (i % 9 == 4) ? Datum::Null() : Datum::Int(i % 13);
+    probe.push_back({k, Datum::Int(i), Datum::Null(), Datum::Null()});
+  }
+  for (int i = 0; i < kHotBuildRows; ++i) {
+    build.push_back(
+        {Datum::Null(), Datum::Null(), Datum::Int(7), Datum::Int(i)});
+  }
+  for (int k = 0; k < 13; k += 3) {
+    build.push_back(
+        {Datum::Null(), Datum::Null(), Datum::Int(k), Datum::Int(-k)});
+  }
+  build.push_back({Datum::Null(), Datum::Null(), Datum::Null(),
+                   Datum::Int(99)});
+  auto n = std::make_unique<PlanNode>();
+  n->kind = NodeKind::kHashJoin;
+  n->join_type = type;
+  n->out_arity = 4;
+  n->probe_keys = {PExpr::Col(0, TypeId::kInt64)};
+  n->build_keys = {PExpr::Col(2, TypeId::kInt64)};
+  n->build_cols = {2, 3};
+  n->children.push_back(RowsNode(std::move(probe), 4));
+  n->children.push_back(RowsNode(std::move(build), 4));
+  return n;
+}
+
+// Probe rows (i in 0..39): key NULL when i % 9 == 4 (i = 4, 13, 22, 31),
+// otherwise i % 13. Build keys: 0, 3, 6, 9, 12 once each and 7 hot.
+// Key 7 comes from i = 7, 20, 33; the once-matching keys from
+// i % 13 in {0, 3, 6, 9, 12} minus the NULL rows: 0, 3, 6, 9, 12, 16,
+// 19, 25, 26, 29, 32, 35, 38, 39 (14 rows).
+constexpr size_t kHotProbeRows = 3;
+constexpr size_t kOnceProbeRows = 14;
+constexpr size_t kProbeRows = 40;
+
+struct JoinCase {
+  plan::JoinType type;
+  size_t expect_rows;
+};
+
+const JoinCase kJoinCases[] = {
+    {plan::JoinType::kInner, kHotProbeRows * kHotBuildRows + kOnceProbeRows},
+    {plan::JoinType::kLeft, kHotProbeRows * kHotBuildRows + kProbeRows -
+                                kHotProbeRows},
+    {plan::JoinType::kSemi, kHotProbeRows + kOnceProbeRows},
+    {plan::JoinType::kAnti, kProbeRows - kHotProbeRows - kOnceProbeRows},
+};
+
+TEST(BatchSizeInvarianceTest, HashJoinMatchesStraddleBatches) {
+  for (const JoinCase& c : kJoinCases) {
+    SCOPED_TRACE(static_cast<int>(c.type));
+    auto rows = ExpectBatchSizeInvariant([&] { return JoinPlan(c.type); });
+    EXPECT_EQ(rows.size(), c.expect_rows);
   }
 }
 
-TEST(BatchAdapterTest, ProjectBatchVsRow) {
-  ExpectAdapterEquivalence(
-      [] {
-        auto n = std::make_unique<PlanNode>();
-        n->kind = NodeKind::kProject;
-        n->out_arity = 2;
-        n->exprs.push_back(PExpr::Binary(
-            PExpr::Op::kMul, PExpr::Col(1, TypeId::kInt64),
-            PExpr::Const(Datum::Int(3), TypeId::kInt64), TypeId::kInt64));
-        n->exprs.push_back(PExpr::Col(2, TypeId::kDouble));
-        n->children.push_back(RowsNode(MixedInput(100), 3));
-        return n;
-      },
-      8);
-}
-
-TEST(BatchAdapterTest, HashAggBatchVsRow) {
-  ExpectAdapterEquivalence(
-      [] {
-        auto n = std::make_unique<PlanNode>();
-        n->kind = NodeKind::kHashAgg;
-        n->phase = AggPhase::kSingle;
-        n->group_exprs = {PExpr::Col(0, TypeId::kInt64)};
-        AggSpec sum;
-        sum.kind = AggSpec::Kind::kSum;
-        sum.arg = PExpr::Col(1, TypeId::kInt64);
-        AggSpec cnt;
-        cnt.kind = AggSpec::Kind::kCount;
-        cnt.count_star = true;
-        n->aggs = {sum, cnt};
-        n->out_arity = 3;
-        n->children.push_back(RowsNode(MixedInput(100), 3));
-        return n;
-      },
-      16);
-}
-
-TEST(BatchAdapterTest, SortAndLimitBatchVsRow) {
-  ExpectAdapterEquivalence(
-      [] {
-        auto limit = std::make_unique<PlanNode>();
-        limit->kind = NodeKind::kLimit;
-        limit->limit = 17;
-        limit->out_arity = 3;
-        auto sort = std::make_unique<PlanNode>();
-        sort->kind = NodeKind::kSort;
-        sort->sort_keys = {{1, true}};
-        sort->out_arity = 3;
-        sort->children.push_back(RowsNode(MixedInput(60), 3));
-        limit->children.push_back(std::move(sort));
-        return limit;
-      },
-      8);
+TEST(BatchSizeInvarianceTest, GraceSpilledHashJoin) {
+  // A budget of a few build rows forces the grace path: the build side
+  // spills to partitions, the probe side is partitioned after it, and
+  // the hot key's partition recurses to the terminal depth.
+  for (const JoinCase& c : kJoinCases) {
+    if (c.type == plan::JoinType::kSemi) continue;
+    SCOPED_TRACE(static_cast<int>(c.type));
+    uint64_t spilled = 0;
+    auto rows = ExpectBatchSizeInvariant([&] { return JoinPlan(c.type); },
+                                         /*mem_limit=*/4096, &spilled);
+    EXPECT_EQ(rows.size(), c.expect_rows);
+    EXPECT_GT(spilled, 0u) << "a drain never spilled";
+  }
 }
 
 // ---------------------------------------------------- 3VL selection vector
@@ -352,26 +464,6 @@ TEST(BatchBoundaryTest, ZeroOneCapacityCapacityPlusOne) {
       EXPECT_EQ(rows[i][0].as_int(), static_cast<int64_t>(i) + 1);
     }
   }
-}
-
-TEST(BatchBoundaryTest, RowModeDrainOfBatchNativePipeline) {
-  // A batch-native operator consumed row-at-a-time must flush its whole
-  // buffered batch, including the tail past the last full batch.
-  const size_t cap = 4;
-  auto filter = std::make_unique<PlanNode>();
-  filter->kind = NodeKind::kFilter;
-  filter->out_arity = 1;
-  filter->quals.push_back(GtConst(0, -1));
-  std::vector<Row> input;
-  for (int i = 0; i < 11; ++i) input.push_back({Datum::Int(i)});
-  filter->children.push_back(RowsNode(std::move(input), 1));
-  LocalDisk disk;
-  ExecContext ctx = MakeCtx(&disk, cap);
-  auto e = BuildExecNode(*filter, &ctx);
-  ASSERT_TRUE(e.ok());
-  auto rows = DrainRows(e->get());
-  ASSERT_EQ(rows.size(), 11u);
-  for (int i = 0; i < 11; ++i) EXPECT_EQ(rows[i][0].as_int(), i);
 }
 
 TEST(BatchBoundaryTest, EmptySelectionBatchesAreSkipped) {

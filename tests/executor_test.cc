@@ -28,12 +28,12 @@ std::unique_ptr<PlanNode> RowsNode(std::vector<Row> rows, int arity) {
 std::vector<Row> Drain(ExecNode* node) {
   std::vector<Row> out;
   EXPECT_TRUE(node->Open().ok());
-  Row row;
+  RowBatch batch;
   while (true) {
-    auto more = node->Next(&row);
+    auto more = node->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status().ToString();
     if (!more.ok() || !*more) break;
-    out.push_back(row);
+    for (size_t i = 0; i < batch.size(); ++i) out.push_back(batch.selected(i));
   }
   EXPECT_TRUE(node->Close().ok());
   return out;

@@ -191,14 +191,16 @@ class HawqLintTest(unittest.TestCase):
     def test_source_exec_without_cancel_trips(self):
         self.tree.write("src/executor/scan.cc",
                         "class MyScanExec : public ExecNode {\n"
-                        "  Result<bool> Next(Row* row) { return false; }\n"
+                        "  Result<bool> NextBatch(RowBatch* batch) {\n"
+                        "    return false;\n"
+                        "  }\n"
                         "};\n")
         self.assert_trips("exec-source-cancel")
 
     def test_source_exec_with_cancel_is_clean(self):
         self.tree.write("src/executor/scan.cc",
                         "class MyScanExec : public ExecNode {\n"
-                        "  Result<bool> Next(Row* row) {\n"
+                        "  Result<bool> NextBatch(RowBatch* batch) {\n"
                         "    HAWQ_RETURN_IF_ERROR(ctx_->CheckCancel());\n"
                         "    return false;\n"
                         "  }\n"

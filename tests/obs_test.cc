@@ -721,8 +721,9 @@ void LoadJoinTables(engine::Session* s, int fact_rows, int dim_rows) {
 }
 
 /// Chaos hook that parks every worker visiting a named point once a
-/// visit threshold is reached, freezing the query mid-flight (with a
-/// few batches already through the pipeline) until Release().
+/// visit threshold is reached, freezing the query mid-flight until
+/// Release(). WaitParked() returns once a worker sits at the point, so a
+/// test observes the frozen state as an event instead of polling for it.
 class BlockAtVisit : public common::chaos::Injector {
  public:
   BlockAtVisit(const char* point, int after_visits)
@@ -730,19 +731,34 @@ class BlockAtVisit : public common::chaos::Injector {
 
   void OnPoint(const char* point) override {
     if (std::strcmp(point, point_) != 0) return;
-    if (visits_.fetch_add(1, std::memory_order_acq_rel) + 1 < after_visits_)
-      return;
-    while (!released_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    MutexLock g(mu_);
+    if (++visits_ < after_visits_) return;
+    ++parked_;
+    cv_.NotifyAll();
+    cv_.Wait(g, [this] { return released_; });
   }
-  void Release() { released_.store(true, std::memory_order_release); }
+
+  /// True once a worker is parked at the point; false if none got there
+  /// within `budget` (the query finished or failed without reaching it).
+  bool WaitParked(std::chrono::seconds budget) {
+    MutexLock g(mu_);
+    return cv_.WaitFor(g, budget, [this] { return parked_ > 0; });
+  }
+
+  void Release() {
+    MutexLock g(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
 
  private:
   const char* point_;
   const int after_visits_;
-  std::atomic<int> visits_{0};
-  std::atomic<bool> released_{false};
+  Mutex mu_{LockRank::kLeaf, "test.block_at_visit"};
+  CondVar cv_;
+  int visits_ HAWQ_GUARDED_BY(mu_) = 0;
+  int parked_ HAWQ_GUARDED_BY(mu_) = 0;
+  bool released_ HAWQ_GUARDED_BY(mu_) = false;
 };
 
 // The tentpole acceptance test: a statement blocked mid-query is visible
@@ -761,7 +777,12 @@ TEST(StatViewsTest, ActivityViewShowsBlockedQueryThenDrains) {
 
   LoadJoinTables(admin.get(), 8000, 400);
 
-  BlockAtVisit inj("scan.batch", /*after_visits=*/6);
+  // Park the QD's gather receiver on its second batch. Its first batch
+  // held rows, and a sender counts a chunk's rows in its slice-root
+  // stats before sending it, so the frozen query has provably made
+  // per-slice progress. (The view's own plan is one QD slice with no
+  // motion, so the monitoring session never reaches this point.)
+  BlockAtVisit inj("motion.recv", /*after_visits=*/2);
   common::chaos::ScopedInjector guard(&inj);
   std::thread runner([&cluster] {
     auto s = cluster.Connect();
@@ -770,30 +791,25 @@ TEST(StatViewsTest, ActivityViewShowsBlockedQueryThenDrains) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
 
-  // Poll from the concurrent session until the frozen statement shows
-  // progress and attributed memory. The query stays parked until
-  // Release(), so the deadline is generous without being load-bearing.
+  const bool parked = inj.WaitParked(std::chrono::seconds(60));
+  std::string diag = "query never reached motion.recv";
   bool seen = false;
-  std::string diag;
-  for (int i = 0; i < 4000 && !seen; ++i) {
+  if (parked) {
     auto r = admin->Execute(
         "SELECT query, state, rows, mem_used_bytes, slices, mem_ops "
         "FROM hawq_stat_activity "
         "WHERE slices IS NOT NULL AND mem_ops IS NOT NULL");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    for (const Row& row : r->rows) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    diag = "query not listed with slices and mem_ops";
+    for (const Row& row : r.ok() ? r->rows : std::vector<Row>{}) {
       if (row[0].as_str().find("FROM fact f") == std::string::npos) continue;
       diag = row[1].as_str() + " rows=" + std::to_string(row[2].as_int()) +
              " mem=" + std::to_string(row[3].as_int()) +
              " slices=" + row[4].as_str() + " mem_ops=" + row[5].as_str();
-      std::string state = row[1].as_str();
-      if ((state == "executing" || state == "dispatched") &&
-          row[2].as_int() > 0 && row[3].as_int() > 0 &&
-          !row[5].as_str().empty()) {
-        seen = true;
-      }
+      EXPECT_EQ(row[1].as_str(), "executing");
+      seen = row[2].as_int() > 0 && row[3].as_int() > 0 &&
+             !row[5].as_str().empty();
     }
-    if (!seen) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   inj.Release();
   runner.join();
